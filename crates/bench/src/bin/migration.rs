@@ -10,20 +10,19 @@
 //! colder page set through DRAM to force eviction write-backs and
 //! re-promotions of the hot pages themselves.
 //!
-//! Three scenarios, same workload:
+//! Two scenarios, same workload:
 //!
-//! * `quiescent`  — readers only, no storm (the floor);
-//! * `shadow-storm`   — storm with `shadow_migrations` on (this PR);
-//! * `blocking-storm` — storm with `shadow_migrations` off: the
-//!   pre-change protocol that closes the pin word (flush) or marks the
-//!   copy `Busy` (migration) for the full device write, stalling every
-//!   reader that lands on the page meanwhile.
+//! * `quiescent`    — readers only, no storm (the floor);
+//! * `shadow-storm` — readers racing the storm.
 //!
 //! Emits `BENCH_migration.json` (override with `--json <path>` via
 //! `SPITFIRE_OBS_JSON`): per scenario, reader p50/p99/max fetch latency,
-//! migration counts, and the shadow abort rate. The embedded baseline is
-//! the `blocking-storm` scenario measured at the same commit — CI asserts
-//! `shadow-storm` p99 stays within 1.5× of `quiescent` p99.
+//! migration counts, and the shadow abort rate. The embedded
+//! `pre_pr_baseline` is the historical `blocking-storm` measurement of the
+//! removed blocking protocol, which closed the pin word (flush) or marked
+//! the copy `Busy` (migration) for the full device write and stalled every
+//! reader landing on the page meanwhile. CI asserts `shadow-storm` p99
+//! stays within 1.5× of `quiescent` p99.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,10 +49,10 @@ const NVM_FRAMES: usize = 96;
 const SCALE: TimeScale = TimeScale(0.5);
 const READERS: usize = 4;
 
-/// `blocking-storm` reader latencies measured at this commit with
-/// `shadow_migrations(false)` — the pre-change protocol that holds the pin
-/// word closed (or the copy `Busy`) across migration/flush device writes.
-/// (p50_ns, p99_ns, max_ns).
+/// Historical `blocking-storm` reader latencies of the removed blocking
+/// protocol, which held the pin word closed (or the copy `Busy`) across
+/// migration/flush device writes; kept for comparison. (p50_ns, p99_ns,
+/// max_ns).
 const PRE_PR_BLOCKING: (u64, u64, u64) = (87, 297, 27_963_381);
 
 struct Outcome {
@@ -69,7 +68,7 @@ struct Outcome {
     abort_rate: f64,
 }
 
-fn manager(shadow: bool) -> Arc<BufferManager> {
+fn manager() -> Arc<BufferManager> {
     let config = BufferManagerConfig::builder()
         .page_size(PAGE)
         .dram_capacity(DRAM_FRAMES * PAGE)
@@ -80,14 +79,13 @@ fn manager(shadow: bool) -> Arc<BufferManager> {
         .persistence(PersistenceTracking::Counters)
         .time_scale(TimeScale::ZERO) // load phase: no emulated delays
         .ssd_backend(spitfire_bench::ssd_backend_from_env())
-        .shadow_migrations(shadow)
         .build()
         .expect("valid config");
     Arc::new(BufferManager::new(config).expect("buffer manager"))
 }
 
-fn run_scenario(name: &'static str, shadow: bool, storm: bool, ops_per_reader: usize) -> Outcome {
-    let bm = manager(shadow);
+fn run_scenario(name: &'static str, storm: bool, ops_per_reader: usize) -> Outcome {
+    let bm = manager();
     let hot: Vec<PageId> = (0..HOT_PAGES)
         .map(|_| bm.allocate_page().unwrap())
         .collect();
@@ -215,8 +213,9 @@ fn main() {
         "§5.2 latching vs Nomad-style transactional page migration",
         "shadow-copy migrations keep hit-path readers lock-free while \
          pages move between tiers: reader p99 under a migration storm \
-         stays within 1.5x of the quiescent baseline, where the blocking \
-         protocol stalls readers for the full page copy",
+         stays within 1.5x of the quiescent baseline, where the removed \
+         blocking protocol (pre_pr_baseline) stalled readers for the full \
+         page copy",
     );
     r.headers(&[
         "scenario",
@@ -229,9 +228,8 @@ fn main() {
     ]);
 
     let results = [
-        run_scenario("quiescent", true, false, ops),
-        run_scenario("shadow-storm", true, true, ops),
-        run_scenario("blocking-storm", false, true, ops),
+        run_scenario("quiescent", false, ops),
+        run_scenario("shadow-storm", true, ops),
     ];
     for o in &results {
         r.row(&[

@@ -3,7 +3,7 @@
 
 use spitfire_core::{
     AccessIntent, BufferError, BufferManager, BufferManagerConfig, MigrationPath, MigrationPolicy,
-    PageId, Tier,
+    PageId, ShadowPath, Tier,
 };
 use spitfire_device::{PersistenceTracking, TimeScale};
 
@@ -185,6 +185,42 @@ fn dirty_dram_eviction_merges_into_existing_nvm_copy() {
     // a's newer bytes must have been merged into its NVM copy.
     check_page(&bm, a, 0xAB);
     assert!(bm.metrics().path(MigrationPath::DramToNvm) >= 1);
+}
+
+/// Full-frame transitions have one protocol — the shadow copy — so a
+/// whole-page workload that promotes, evicts dirty copies and flushes must
+/// commit through it on every path, and no commit may lose a write.
+#[test]
+fn whole_page_transitions_commit_through_shadow_copies() {
+    // 4 DRAM + 16 NVM frames, 12 pages, eager policy: every write lands in
+    // DRAM (D_w = 1), DRAM pressure evicts dirty copies into NVM (N_w = 1),
+    // and every NVM hit promotes back up (D_r = 1).
+    let bm = manager(4, 16, MigrationPolicy::eager());
+    let pids: Vec<PageId> = (0..12).map(|_| bm.allocate_page().unwrap()).collect();
+    let mut last = vec![0u8; pids.len()];
+    for round in 1..=4u8 {
+        for (i, pid) in pids.iter().enumerate() {
+            let byte = round.wrapping_mul(31).wrapping_add(i as u8);
+            fill_page(&bm, *pid, byte);
+            last[i] = byte;
+            if i % 3 == 0 {
+                // Checkpoint-style flush of the page just dirtied.
+                assert!(bm.flush_page(*pid).unwrap(), "uncontended flush of {pid}");
+            }
+        }
+        for (i, pid) in pids.iter().enumerate() {
+            check_page(&bm, *pid, last[i]);
+        }
+    }
+    let m = bm.metrics();
+    for path in ShadowPath::ALL {
+        assert!(
+            m.shadow_commits[path as usize] > 0,
+            "no shadow commit on the {} path",
+            path.name()
+        );
+    }
+    bm.assert_quiescent();
 }
 
 #[test]

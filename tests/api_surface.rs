@@ -198,3 +198,41 @@ fn removed_shims_stay_removed() {
     // The supported path is the scoped admin handle.
     bm.admin().set_next_page_id(1);
 }
+
+/// The blocking-migration switch stays removed: shadow copies are the only
+/// protocol for full-frame transitions. The builder method is pinned absent
+/// with the same extension-trait trick as above (the real method returned
+/// the builder), and the surviving `shadow_migrations` field is a record
+/// that `validate()` — and so `BufferManager::new` — refuses to see
+/// `false` in rather than silently ignoring.
+#[test]
+fn blocking_migrations_stay_removed() {
+    use spitfire_core::ConfigError;
+
+    struct Absent;
+    trait SwitchAbsent {
+        fn shadow_migrations(self, _: bool) -> Absent
+        where
+            Self: Sized,
+        {
+            Absent
+        }
+    }
+    impl SwitchAbsent for BufferManagerConfigBuilder {}
+    let _: Absent = BufferManagerConfig::builder().shadow_migrations(false);
+
+    let mut config = BufferManagerConfig::builder()
+        .page_size(1024)
+        .dram_capacity(8 * 1024)
+        .nvm_capacity(16 * (1024 + 64))
+        .time_scale(TimeScale::ZERO)
+        .build()
+        .unwrap();
+    assert!(config.shadow_migrations, "the record defaults to true");
+    config.shadow_migrations = false;
+    assert_eq!(config.validate(), Err(ConfigError::BlockingMigrations));
+    assert!(matches!(
+        BufferManager::new(config),
+        Err(BufferError::Config(ConfigError::BlockingMigrations))
+    ));
+}
